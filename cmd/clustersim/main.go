@@ -13,8 +13,6 @@
 //	                                           # SMP-aware collective on the fat-tree hop model
 //	clustersim -mesh d -ranks 256 -steps 3
 //	clustersim -ranks 16 -json run.json        # machine-readable artifact
-//	clustersim -ranks 8 -noise 0.5             # deterministic straggler noise
-//	clustersim -ranks 8 -mtbf 0.05 -steps 5    # injected crashes + checkpoint/restart
 //	clustersim -ranks 16 -order hilbert -fused # SFC pre-ordering + fused flux rate
 package main
 
@@ -54,10 +52,6 @@ func main() {
 		dedup    = flag.Bool("dedup", false, "content-deduplicate each rank's ILU block stores (bit-identical results)")
 		cfl      = flag.Float64("cfl", 20, "initial CFL")
 		jsonOut  = flag.String("json", "", "write a schema-versioned JSON artifact (prof.Artifact) to this path")
-		noise    = flag.Float64("noise", 0, "straggler noise amplitude: compute/p2p intervals stretched by up to this fraction")
-		mtbf     = flag.Float64("mtbf", 0, "mean virtual time between injected rank crashes, seconds (0 = no crashes)")
-		ckEvery  = flag.Int("checkpoint-every", 1, "in-memory checkpoint interval in pseudo-time steps")
-		faultSd  = flag.Uint64("fault-seed", 42, "seed for the deterministic fault plan")
 	)
 	flag.Parse()
 
@@ -179,12 +173,6 @@ func main() {
 		CFL0:           *cfl,
 		Seed:           11,
 		Pipelined:      *gmres == "pipelined",
-		Faults: fun3d.FaultConfig{
-			Seed:  *faultSd,
-			Noise: *noise,
-			MTBF:  *mtbf,
-		},
-		CheckpointEvery: *ckEvery,
 	}
 	if *steps > 0 {
 		cfg.MaxSteps = *steps
@@ -210,10 +198,6 @@ func main() {
 	fmt.Printf("  route books     cross-node %.1f MB, cross-pod %.1f MB\n",
 		float64(res.PtPCrossNodeBytes)/1e6, float64(res.PtPCrossPodBytes)/1e6)
 	fmt.Printf("communication fraction: %.1f%%\n", 100*res.CommFraction())
-	if *noise > 0 || *mtbf > 0 {
-		fmt.Printf("faults: %d injected, %d restarts, %d recomputed steps, %.4fs straggler noise/rank\n",
-			res.FaultsInjected, res.Restarts, res.RecomputedSteps, res.NoiseTime)
-	}
 
 	if *jsonOut != "" {
 		art := prof.NewArtifact("clustersim", res.Metrics)
@@ -234,12 +218,6 @@ func main() {
 			"fill":             *fill,
 			"steps":            res.Steps,
 			"time_axis":        "virtual",
-		}
-		if *noise > 0 || *mtbf > 0 {
-			art.Config["noise"] = *noise
-			art.Config["mtbf"] = *mtbf
-			art.Config["checkpoint_every"] = *ckEvery
-			art.Config["fault_seed"] = *faultSd
 		}
 		if err := art.WriteFile(*jsonOut); err != nil {
 			fatal(err)

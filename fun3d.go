@@ -210,17 +210,8 @@ func (s *Solver) OrderingStats() OrderingStats { return s.app.Order }
 func (s *Solver) Close() { s.app.Close() }
 
 // ClusterConfig describes a simulated multi-node run (rank count, kernel
-// rates, network model, fault plan).
+// rates, network model).
 type ClusterConfig = mpisim.Config
-
-// FaultConfig describes deterministic fault injection for a simulated
-// cluster run: seeded straggler noise, point-to-point jitter, and
-// scheduled rank crashes recovered from periodic in-memory checkpoints.
-type FaultConfig = mpisim.FaultConfig
-
-// CrashError is the error a simulated run reports when it gives up after
-// exhausting its restart budget under injected crashes.
-type CrashError = mpisim.CrashError
 
 // ClusterResult reports a simulated multi-node run: real convergence
 // counts, modeled time, and the communication breakdown.

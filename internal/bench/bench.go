@@ -10,7 +10,6 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"text/tabwriter"
 
 	"fun3d/internal/mesh"
@@ -129,38 +128,40 @@ func (o *Options) defaults() {
 // pipelined variant.
 func (o *Options) pipelined() bool { return o.GMRES == "pipelined" }
 
-// Experiments lists the available experiment names in paper order.
-func Experiments() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+// experiments is the registry in paper order; "all" runs it front to back.
+var experiments = []struct {
+	name string
+	run  func(*Options) error
+}{
+	{"table1", table1},
+	{"table2", table2},
+	{"fig5", fig5},
+	{"fig6a", fig6a},
+	{"fig6b", fig6b},
+	{"fig7a", fig7a},
+	{"fig7b", fig7b},
+	{"fig8a", fig8a},
+	{"fig8b", fig8b},
+	{"fig9", fig9},
+	{"fig10", fig10},
+	{"fig11", fig11},
+	{"overlap", overlap},
+	{"allreduce-scaling", allreduceScaling},
+	{"scaling", scaling},
+	{"placement", placement},
+	{"locality", locality},
+	{"precond", precondExp},
+	{"service", serviceExp},
+	{"quick", quick},
 }
 
-var registry = map[string]func(*Options) error{
-	"table1":            table1,
-	"table2":            table2,
-	"fig5":              fig5,
-	"fig6a":             fig6a,
-	"fig6b":             fig6b,
-	"fig7a":             fig7a,
-	"fig7b":             fig7b,
-	"fig8a":             fig8a,
-	"fig8b":             fig8b,
-	"fig9":              fig9,
-	"fig10":             fig10,
-	"fig11":             fig11,
-	"overlap":           overlap,
-	"quick":             quick,
-	"allreduce-scaling": allreduceScaling,
-	"scaling":           scaling,
-	"placement":         placement,
-	"faults":            faults,
-	"locality":          locality,
-	"precond":           precondExp,
-	"service":           serviceExp,
+// Experiments lists the available experiment names in paper order.
+func Experiments() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
 }
 
 // Run executes the named experiment ("all" runs every one in order).
@@ -170,20 +171,20 @@ func Run(name string, opt Options) error {
 		return fmt.Errorf("bench: unknown GMRES variant %q (want classical or pipelined)", opt.GMRES)
 	}
 	if name == "all" {
-		for _, n := range []string{"table1", "table2", "fig5", "fig6a", "fig6b",
-			"fig7a", "fig7b", "fig8a", "fig8b", "fig9", "fig10", "fig11", "overlap",
-			"allreduce-scaling", "scaling", "placement", "faults", "locality", "precond", "service", "quick"} {
-			if err := Run(n, opt); err != nil {
-				return fmt.Errorf("%s: %w", n, err)
+		for _, e := range experiments {
+			o := opt // each experiment gets its own copy, as a single run does
+			if err := e.run(&o); err != nil {
+				return fmt.Errorf("%s: %w", e.name, err)
 			}
 		}
 		return nil
 	}
-	f, ok := registry[name]
-	if !ok {
-		return fmt.Errorf("bench: unknown experiment %q (have %v)", name, Experiments())
+	for _, e := range experiments {
+		if e.name == name {
+			return e.run(&opt)
+		}
 	}
-	return f(&opt)
+	return fmt.Errorf("bench: unknown experiment %q (have %v)", name, Experiments())
 }
 
 // header prints an experiment banner.

@@ -20,13 +20,22 @@ func quickOpts(buf *strings.Builder) Options {
 	}
 }
 
+// Experiments feeds cmd/experiments' -exp help and the order "all" runs
+// in: the paper's tables and figures first, then the extensions.
 func TestExperimentsRegistry(t *testing.T) {
-	names := Experiments()
-	if len(names) != 21 {
-		t.Fatalf("expected 21 experiments, got %v", names)
+	want := []string{
+		"table1", "table2", "fig5", "fig6a", "fig6b", "fig7a", "fig7b",
+		"fig8a", "fig8b", "fig9", "fig10", "fig11", "overlap",
+		"allreduce-scaling", "scaling", "placement", "locality", "precond",
+		"service", "quick",
 	}
-	if err := Run("nonsense", Options{Out: &strings.Builder{}}); err == nil {
-		t.Fatal("unknown experiment accepted")
+	if got := strings.Join(Experiments(), ", "); got != strings.Join(want, ", ") {
+		t.Fatalf("-exp lists\n  %s\nwant paper order\n  %s", got, strings.Join(want, ", "))
+	}
+	for _, name := range []string{"nonsense", "faults"} {
+		if err := Run(name, Options{Out: &strings.Builder{}}); err == nil {
+			t.Fatalf("unknown experiment %q accepted", name)
+		}
 	}
 }
 

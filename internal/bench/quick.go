@@ -95,27 +95,18 @@ func quick(o *Options) error {
 	}
 	agg.Merge(r.Metrics)
 
-	// A fault-injected mini-run contributes the recovery counters
-	// (faults_injected, fault_restarts, fault_recomputed_steps,
-	// fault_noise_us) so benchdiff gates see them. Fixed synthetic rates:
-	// the crash schedule depends on the virtual-time trajectory, and only
-	// pinned rates make the counters machine-independent.
-	cleanTime, err := mpisim.Solve(m, faultQuickConfig(o, 0))
+	// A four-step two-rank run on pinned synthetic rates contributes a
+	// machine-independent share of the communication and solver counters.
+	rc, err := mpisim.Solve(m, clusterQuickConfig(o))
 	if err != nil {
 		return err
 	}
-	rf, err := mpisim.Solve(m, faultQuickConfig(o, cleanTime.Time/3))
-	if err != nil {
-		return err
-	}
-	agg.Merge(rf.Metrics)
-	fmt.Fprintf(o.Out, "   fault mini-run: %d faults, %d restarts, %d recomputed steps\n",
-		rf.FaultsInjected, rf.Restarts, rf.RecomputedSteps)
+	agg.Merge(rc.Metrics)
 
 	// A scaling mini-sweep contributes the collective stage/hop counters
 	// behind the collective_stages_per_allreduce benchdiff gate: four ranks
 	// on two simulated nodes of a fat tree, one step per collective
-	// algorithm, on the same pinned synthetic rates as the fault mini-run —
+	// algorithm, on the same pinned synthetic rates as the run above —
 	// every stage and hop count is an exact function of (algo, topology,
 	// rank count), so the gate holds exactly across machines.
 	for _, algo := range []perfmodel.AllreduceAlgo{
@@ -127,7 +118,7 @@ func quick(o *Options) error {
 		rs, err := mpisim.Solve(m, mpisim.Config{
 			Ranks:    4,
 			Natural:  true,
-			Rates:    faultRates(),
+			Rates:    scalingRates(),
 			Net:      net,
 			MaxSteps: 1,
 			RelTol:   1e-30,
@@ -156,7 +147,7 @@ func quick(o *Options) error {
 		rp, err := mpisim.Solve(m, mpisim.Config{
 			Ranks:    4,
 			Natural:  true,
-			Rates:    faultRates(),
+			Rates:    scalingRates(),
 			Net:      net,
 			MaxSteps: 1,
 			RelTol:   1e-30,
@@ -202,27 +193,21 @@ func quick(o *Options) error {
 		"placement_ranks": 4,
 		"placements":      []string{"block", "roundrobin", "locality"},
 		"cfl0":            o.CFL0,
-		"fault_seed":      uint64(7),
 		"service_jobs":    2,
 		"service_steps":   2,
 	}, nil)
 }
 
-// faultQuickConfig is the quick experiment's fault-injected distributed
-// mini-run: two ranks on fixed synthetic rates, with crashes at the given
-// MTBF (0 = the fault-free twin used to size the MTBF).
-func faultQuickConfig(o *Options, mtbf float64) mpisim.Config {
-	cfg := mpisim.Config{
+// clusterQuickConfig is the quick experiment's four-step two-rank
+// distributed run on fixed synthetic rates.
+func clusterQuickConfig(o *Options) mpisim.Config {
+	return mpisim.Config{
 		Ranks:    2,
-		Rates:    faultRates(),
+		Rates:    scalingRates(),
 		Net:      perfmodel.Stampede(),
 		MaxSteps: 4,
 		RelTol:   1e-30,
 		CFL0:     o.CFL0,
 		Seed:     11,
 	}
-	if mtbf > 0 {
-		cfg.Faults = mpisim.FaultConfig{Seed: 7, Noise: 0.25, MTBF: mtbf}
-	}
-	return cfg
 }

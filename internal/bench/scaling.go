@@ -109,9 +109,20 @@ func scaling(o *Options) error {
 	return emit(o, "scaling", agg, m, cfgOut, nil)
 }
 
-// scalingRates are the campaign's pinned synthetic per-rank rates — the
-// same machine-independent values the fault mini-runs use.
-func scalingRates() perfmodel.Rates { return faultRates() }
+// scalingRates are fixed synthetic per-unit kernel costs, deliberately not
+// measured on the host: every virtual time and counter they drive is plain
+// IEEE arithmetic, so the campaign's numbers reproduce across machines.
+func scalingRates() perfmodel.Rates {
+	return perfmodel.Rates{
+		FluxPerEdge:  150e-9,
+		GradPerEdge:  40e-9,
+		JacPerEdge:   250e-9,
+		ILUPerBlock:  30e-9,
+		TRSVPerBlock: 8e-9,
+		VecPerElem:   1e-9,
+		Threads:      1,
+	}
+}
 
 // scalingNet is the campaign's fabric: the Stampede-like parameters with
 // the fat-tree hop model (or Options.Topology's override) and the paper's

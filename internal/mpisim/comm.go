@@ -109,8 +109,7 @@ func (c *Comm) Size() int { return c.size }
 // Abort unblocks every rank waiting on a receive or collective by making
 // those calls panic with errAborted (workers recover it into an error).
 // Call when one rank fails so the remaining ranks cannot deadlock — the
-// failure-injection behaviour MPI implementations provide with
-// MPI_Abort.
+// behaviour MPI implementations provide with MPI_Abort.
 func (c *Comm) Abort() {
 	for _, b := range c.boxes {
 		b.abort()
@@ -123,21 +122,11 @@ type Rank struct {
 	comm *Comm
 	id   int
 
-	// fp, when non-nil, injects the deterministic fault plan: straggler
-	// noise on Compute, jitter on point-to-point arrivals, and scheduled
-	// crashes checked at Compute and at the *entry* of the blocking calls
-	// (Wait, Allreduce) — never after a completed collective, so a crash
-	// cannot split one (see FaultPlan.check).
-	fp *FaultPlan
-
 	// Virtual time accounting (seconds).
 	Clock         float64
 	ComputeTime   float64
 	PtPTime       float64
 	AllreduceTime float64
-	// NoiseTime is the share of Clock added by injected straggler noise
-	// and point-to-point jitter (a subset of ComputeTime + PtPTime).
-	NoiseTime float64
 
 	// Traffic statistics.
 	MsgsSent     int
@@ -174,19 +163,10 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the communicator size.
 func (r *Rank) Size() int { return r.comm.size }
 
-// Compute advances the rank's virtual clock by a modeled compute duration,
-// stretched by the fault plan's straggler noise when one is installed.
+// Compute advances the rank's virtual clock by a modeled compute duration.
 func (r *Rank) Compute(seconds float64) {
-	if r.fp != nil {
-		extra := r.fp.computeNoise(r.id, r.Clock, seconds)
-		seconds += extra
-		r.NoiseTime += extra
-	}
 	r.Clock += seconds
 	r.ComputeTime += seconds
-	if r.fp != nil {
-		r.fp.check(r)
-	}
 }
 
 // Send posts data to rank `to` with the given tag. The data is copied;
@@ -230,11 +210,6 @@ func (r *Rank) Wait(req *Request) []float64 {
 	if req.done {
 		return req.data
 	}
-	if r.fp != nil {
-		// Crash deadline checked at entry: a rank whose scheduled failure
-		// time has passed dies here instead of blocking on a peer.
-		r.fp.check(r)
-	}
 	e := r.comm.boxes[r.id].get(req.from, req.tag)
 	bytes := 8 * len(e.data)
 	rt := r.comm.net.RouteOf(req.from, r.id, r.comm.size)
@@ -245,11 +220,6 @@ func (r *Rank) Wait(req *Request) []float64 {
 		if rt.CrossPod {
 			r.PtPCrossPodBytes += bytes
 		}
-	}
-	if r.fp != nil {
-		jitter := r.fp.ptpDelay(r.id, r.Clock, ptp)
-		ptp += jitter
-		r.NoiseTime += jitter
 	}
 	arrive := e.sendClock + ptp
 	if arrive > r.Clock {
@@ -321,15 +291,6 @@ func newReducer(size int) *reducer {
 // plus the modeled collective cost — the term that dominates the paper's
 // 256-node runs.
 func (r *Rank) Allreduce(vals []float64) []float64 {
-	if r.fp != nil {
-		// Crash deadline checked at entry only — never after the collective
-		// completes — so a scheduled crash keeps a rank out of the
-		// rendezvous entirely rather than killing it between the reduction
-		// and its clock synchronization. Either every live rank finishes
-		// this Allreduce or none does, the invariant the distributed
-		// checkpoint store relies on.
-		r.fp.check(r)
-	}
 	red := r.comm.red
 	red.mu.Lock()
 	if red.aborted {
@@ -375,9 +336,8 @@ func (r *Rank) Allreduce(vals []float64) []float64 {
 		}
 		// Generation completed — possibly concurrently with an abort. The
 		// collective happened, so take its result: every participant of a
-		// completed collective must observe it, or a crash elsewhere could
-		// split ranks across a step boundary and break the checkpoint
-		// consistency invariant.
+		// completed collective must observe it, so a failure elsewhere
+		// cannot split ranks across a step boundary.
 	}
 	slot := &red.slots[myGen%2]
 	result := slot.result

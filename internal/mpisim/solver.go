@@ -70,20 +70,6 @@ type Config struct {
 	MaxLinearIters int
 
 	Seed uint64
-
-	// Faults injects the deterministic fault plan: straggler noise on
-	// compute intervals, jitter on point-to-point transfers, and scheduled
-	// rank crashes that abort the communicator and trigger
-	// checkpoint/restart recovery. The zero value disables injection.
-	Faults FaultConfig
-	// CheckpointEvery snapshots the distributed state (owned + ghost q,
-	// residual history, iteration counters) every k pseudo-time steps when
-	// crashes are enabled; recovery resumes from the last consistent
-	// snapshot. Default 1 (every step).
-	CheckpointEvery int
-	// MaxRestarts caps recovery attempts before Solve gives up and returns
-	// the crash as an error. Default 64.
-	MaxRestarts int
 }
 
 func (c *Config) defaults() {
@@ -110,15 +96,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxLinearIters <= 0 {
 		c.MaxLinearIters = 300
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 1
-	}
-	if c.MaxRestarts <= 0 {
-		c.MaxRestarts = 64
-	}
-	if c.Faults.RestartDelay <= 0 {
-		c.Faults.RestartDelay = 0.05
 	}
 }
 
@@ -159,15 +136,6 @@ type Result struct {
 	PtPCrossNodeBytes int
 	PtPCrossPodBytes  int
 
-	// Fault-injection accounting (zero on fault-free runs). NoiseTime is
-	// the per-rank average of injected straggler/jitter seconds, a subset
-	// of ComputeTime + PtPTime; RecomputedSteps counts pseudo-time steps
-	// redone after restoring from a checkpoint.
-	Restarts        int
-	FaultsInjected  int
-	RecomputedSteps int
-	NoiseTime       float64
-
 	// Metrics aggregates the per-rank kernel records: times are *virtual*
 	// seconds summed over ranks (a CPU-seconds analog — fractions are
 	// rank-weighted averages), distributed work counters (edges, blocks,
@@ -188,19 +156,6 @@ func (r Result) CommFraction() float64 {
 
 // Solve runs the distributed pseudo-transient NKS solver over cfg.Ranks
 // simulated ranks and reports real convergence plus modeled time.
-//
-// With cfg.Faults enabled, Solve is a supervisor: an injected rank crash
-// panics out of the attempt (aborting the communicator, MPI_Abort style),
-// and the supervisor restores every rank from the last consistent in-memory
-// checkpoint, re-forms the communicator, and retries with capped
-// exponential backoff. State rewinds; the clock resumes from the
-// checkpoint's synchronized virtual time plus the recovery delay, so the
-// run's reported time, traffic, and fault counters depend only on the
-// deterministic virtual schedule — never on the real-time goroutine race of
-// who observed the abort first. Recovery is bit-deterministic: the
-// recovered trajectory (residual history, step and iteration counts) is
-// identical to a fault-free run's, and two faulted runs with the same seed
-// agree on every reported number.
 func Solve(m *mesh.Mesh, cfg Config) (Result, error) {
 	cfg.defaults()
 	art, err := BuildArtifact(m, specOf(&cfg))
@@ -210,8 +165,8 @@ func Solve(m *mesh.Mesh, cfg Config) (Result, error) {
 	return solve(art, cfg)
 }
 
-// solve is the supervisor loop shared by Solve and SolveArtifact; cfg has
-// defaults applied and matches art.Spec.
+// solve is the run shared by Solve and SolveArtifact; cfg has defaults
+// applied and matches art.Spec.
 func solve(art *Artifact, cfg Config) (Result, error) {
 	// A locality placement without an explicit table gets one computed
 	// from this decomposition's halo traffic graph. cfg is a copy, so the
@@ -224,97 +179,29 @@ func solve(art *Artifact, cfg Config) (Result, error) {
 		}
 		cfg.Net.NodeTable = tbl
 	}
-	fp := newFaultPlan(&cfg)
-	var store *ckptStore
-	if fp.crashes() {
-		store = newCkptStore(cfg.Ranks)
+	workers, results, err := runRanks(art, &cfg)
+	if err != nil {
+		return Result{}, err
 	}
-
-	resume := 0.0 // virtual clock every rank starts the next attempt at
-	restarts, faults, recomputed := 0, 0, 0
-
-	for {
-		workers, results, err := runAttempt(art, &cfg, fp, store, resume)
-		if err != nil {
-			return Result{}, err
+	out := finish(&cfg, workers, results)
+	// A rank's own error (divergence, factorization failure) outranks the
+	// errAborted its peers report after it aborted the communicator.
+	var aborted error
+	for r := range results {
+		switch err := results[r].err; {
+		case err == nil:
+		case err == errAborted:
+			aborted = fmt.Errorf("rank %d: %w", r, err)
+		default:
+			return out, fmt.Errorf("rank %d: %w", r, err)
 		}
-
-		// Classify the attempt: injected crashes are retried from the last
-		// checkpoint; genuine solver errors (divergence, factorization
-		// failure) are returned as before and never retried. Which — and
-		// how many — ranks fired a *CrashError is a real-time race, so
-		// counters track failure events (attempts killed), not fires.
-		var crash *CrashError
-		var genuine, aborted error
-		for r := range results {
-			switch e := results[r].err.(type) {
-			case nil:
-			case *CrashError:
-				if crash == nil {
-					crash = e
-				}
-			default:
-				if results[r].err == errAborted {
-					aborted = fmt.Errorf("rank %d: %w", r, results[r].err)
-				} else if genuine == nil {
-					genuine = fmt.Errorf("rank %d: %w", r, results[r].err)
-				}
-			}
-		}
-
-		if crash != nil && genuine == nil {
-			faults++
-			if restarts >= cfg.MaxRestarts {
-				out := finish(&cfg, workers, results, restarts, faults, recomputed)
-				return out, fmt.Errorf("mpisim: giving up after %d restarts: %w", restarts, crash)
-			}
-			// Every rank observed the same last completed step (a
-			// completed end-of-step collective is observed by all ranks,
-			// even under a concurrent abort), so the lost span is that
-			// step minus the restore point, plus the partially-executed
-			// step the crash interrupted.
-			recomputed += results[0].steps - store.step() + 1
-			restarts++
-			// Capped exponential backoff on the recovery delay.
-			delay := cfg.Faults.RestartDelay
-			for i := 1; i < restarts && i < 4; i++ {
-				delay *= 2
-			}
-			// Resume from the checkpoint's synchronized clock (0 when
-			// restarting from scratch) plus the delay.
-			snapClock := 0.0
-			if snaps := store.consistent(); snaps != nil {
-				snapClock = snaps[0].stats.Clock
-			}
-			resume = snapClock + delay
-			// Crashes scheduled before the resume point struck a job that
-			// was already down — skip them, then retire the designated
-			// culprit so recovery cannot livelock on a crash event beyond
-			// the resume point.
-			fp.advancePast(resume)
-			fp.consumeNext()
-			continue
-		}
-
-		out := finish(&cfg, workers, results, restarts, faults, recomputed)
-		if genuine != nil {
-			return out, genuine
-		}
-		if aborted != nil {
-			return out, aborted
-		}
-		return out, nil
 	}
+	return out, aborted
 }
 
-// runAttempt forms a fresh communicator and runs every rank's solver
-// goroutine to completion, restoring from the checkpoint store's last
-// consistent snapshot when one exists. Every rank starts at the resume
-// clock with the snapshot's time/traffic accounting (a failed attempt's
-// partial work past the checkpoint is abandoned — it is sampled at an
-// arbitrary abort point and would make the books racy; the recovery delay
-// models its cost instead). Worker pools are closed before return.
-func runAttempt(art *Artifact, cfg *Config, fp *FaultPlan, store *ckptStore, resume float64) (workers []*worker, results []rankResult, err error) {
+// runRanks forms a communicator and runs every rank's solver goroutine to
+// completion. Worker pools are closed before return.
+func runRanks(art *Artifact, cfg *Config) (workers []*worker, results []rankResult, err error) {
 	comm := NewComm(cfg.Ranks, cfg.Net)
 	workers = make([]*worker, cfg.Ranks)
 	results = make([]rankResult, cfg.Ranks)
@@ -325,38 +212,10 @@ func runAttempt(art *Artifact, cfg *Config, fp *FaultPlan, store *ckptStore, res
 			}
 		}
 	}()
-	var snaps []*rankSnapshot
-	if store != nil {
-		snaps = store.consistent()
-	}
 	for r := 0; r < cfg.Ranks; r++ {
-		rk := comm.NewRank(r)
-		rk.fp = fp
-		if snaps != nil {
-			st := snaps[r].stats
-			rk.ComputeTime = st.ComputeTime
-			rk.PtPTime = st.PtPTime
-			rk.AllreduceTime = st.AllreduceTime
-			rk.NoiseTime = st.NoiseTime
-			rk.MsgsSent = st.MsgsSent
-			rk.BytesSent = st.BytesSent
-			rk.Allreduces = st.Allreduces
-			rk.BytesReduced = st.BytesReduced
-			rk.AllreduceStages = st.AllreduceStages
-			rk.AllreduceHops = st.AllreduceHops
-			rk.PtPHops = st.PtPHops
-			rk.PtPCrossNodeBytes = st.PtPCrossNodeBytes
-			rk.PtPCrossPodBytes = st.PtPCrossPodBytes
-		}
-		rk.Clock = resume
-		w, werr := newWorker(rk, art, cfg)
+		w, werr := newWorker(comm.NewRank(r), art, cfg)
 		if werr != nil {
 			return nil, nil, werr
-		}
-		w.store = store
-		if snaps != nil {
-			w.restore = snaps[r]
-			w.met.Merge(snaps[r].met)
 		}
 		workers[r] = w
 	}
@@ -372,19 +231,16 @@ func runAttempt(art *Artifact, cfg *Config, fp *FaultPlan, store *ckptStore, res
 	return workers, results, nil
 }
 
-// finish aggregates the final attempt into a Result.
-func finish(cfg *Config, workers []*worker, results []rankResult, restarts, faults, recomputed int) Result {
+// finish aggregates the ranks' books into a Result.
+func finish(cfg *Config, workers []*worker, results []rankResult) Result {
 	out := Result{
-		Steps:           results[0].steps,
-		LinearIters:     results[0].linIters,
-		Converged:       results[0].converged,
-		RNorm0:          results[0].rnorm0,
-		RNormFinal:      results[0].rnorm,
-		History:         results[0].history,
-		Restarts:        restarts,
-		FaultsInjected:  faults,
-		RecomputedSteps: recomputed,
-		Metrics:         &prof.Metrics{},
+		Steps:       results[0].steps,
+		LinearIters: results[0].linIters,
+		Converged:   results[0].converged,
+		RNorm0:      results[0].rnorm0,
+		RNormFinal:  results[0].rnorm,
+		History:     results[0].history,
+		Metrics:     &prof.Metrics{},
 	}
 	for r := 0; r < cfg.Ranks; r++ {
 		rk := workers[r].rank
@@ -394,12 +250,10 @@ func finish(cfg *Config, workers []*worker, results []rankResult, restarts, faul
 		out.ComputeTime += rk.ComputeTime
 		out.PtPTime += rk.PtPTime
 		out.AllreduceTime += rk.AllreduceTime
-		out.NoiseTime += rk.NoiseTime
 		out.Msgs += rk.MsgsSent
 		out.Bytes += rk.BytesSent
 		// Fold this rank's kernel record plus its communication time and
-		// halo traffic into the aggregate. The snapshot-restored stats
-		// make these cover the whole trajectory, booked exactly once.
+		// halo traffic into the aggregate.
 		w := workers[r]
 		w.met.Add(prof.Allreduce, vdur(rk.AllreduceTime))
 		w.met.Add(prof.Halo, vdur(rk.PtPTime))
@@ -426,11 +280,6 @@ func finish(cfg *Config, workers []*worker, results []rankResult, restarts, faul
 	out.ComputeTime /= n
 	out.PtPTime /= n
 	out.AllreduceTime /= n
-	out.NoiseTime /= n
-	out.Metrics.Inc(prof.FaultsInjected, int64(faults))
-	out.Metrics.Inc(prof.FaultRestarts, int64(restarts))
-	out.Metrics.Inc(prof.FaultRecomputedSteps, int64(recomputed))
-	out.Metrics.Inc(prof.FaultNoiseMicros, int64(out.NoiseTime*1e6))
 	return out
 }
 
@@ -484,12 +333,6 @@ type worker struct {
 
 	// per-step cache for the matrix-free operator
 	qnorm float64
-
-	// Checkpoint/restart plumbing (nil on fault-free runs): store receives
-	// this rank's periodic snapshots; restore, when set by the supervisor,
-	// is the snapshot to resume from.
-	store   *ckptStore
-	restore *rankSnapshot
 }
 
 // compute advances the rank's virtual clock by a modeled duration and books
@@ -504,7 +347,7 @@ func (w *worker) compute(k prof.Kernel, seconds float64) {
 // The subdomain, local mesh, Jacobian sparsity, and ILU schedule are the
 // artifact's read-only templates; only the value arrays are per-worker
 // (structure-shared clones) — at 16384 ranks the index structure would
-// otherwise be rebuilt and duplicated per rank per attempt.
+// otherwise be rebuilt and duplicated per rank per run.
 func newWorker(rank *Rank, art *Artifact, cfg *Config) (*worker, error) {
 	sub := art.Subs[rank.id]
 	w := &worker{rank: rank, sub: sub, cfg: cfg, rates: cfg.Rates, met: &prof.Metrics{}}
@@ -827,18 +670,9 @@ func (w *worker) localTimeSteps(q []float64, cfl float64) {
 func (w *worker) run() (rr rankResult) {
 	defer func() {
 		if p := recover(); p != nil {
-			switch e := p.(type) {
-			case *CrashError:
-				// Injected fault: the supervisor recovers this attempt
-				// from the last checkpoint.
-				rr.err = e
-			case error:
-				if e == errAborted {
-					rr.err = e
-				} else {
-					rr.err = fmt.Errorf("mpisim worker panic: %v", p)
-				}
-			default:
+			if p == errAborted {
+				rr.err = errAborted
+			} else {
 				rr.err = fmt.Errorf("mpisim worker panic: %v", p)
 			}
 		}
@@ -855,31 +689,13 @@ func (w *worker) run() (rr rankResult) {
 	nOwn := s.NOwned * 4
 	ops := w.ops
 
-	startStep := 0
-	var rnorm float64
-	if w.restore != nil {
-		// Resume from the snapshot: restore the state vector (owned +
-		// ghosts) and the trajectory counters, then rebuild the residual —
-		// bit-identical to the value the uncrashed run held at this step,
-		// so the continuation reproduces the fault-free trajectory exactly.
-		copy(w.q, w.restore.q)
-		startStep = w.restore.step
-		rr.steps = w.restore.step
-		rr.linIters = w.restore.linIters
-		rr.rnorm0 = w.restore.rnorm0
-		rr.history = append([]float64(nil), w.restore.history...)
-		rnorm = w.restore.rnorm
-		rr.rnorm = rnorm
-		w.evalResidual(w.q, w.res)
-	} else {
-		w.evalResidual(w.q, w.res)
-		rnorm = ops.Norm2(w.res[:nOwn])
-		rr.rnorm0 = rnorm
-		rr.rnorm = rnorm
-		if rnorm <= 1e-14 {
-			rr.converged = true
-			return rr
-		}
+	w.evalResidual(w.q, w.res)
+	rnorm := ops.Norm2(w.res[:nOwn])
+	rr.rnorm0 = rnorm
+	rr.rnorm = rnorm
+	if rnorm <= 1e-14 {
+		rr.converged = true
+		return rr
 	}
 
 	op := &distOp{w: w, ops: ops}
@@ -887,7 +703,7 @@ func (w *worker) run() (rr rankResult) {
 	rhs := make([]float64, nOwn)
 	dq := make([]float64, nOwn)
 
-	for step := startStep + 1; step <= cfg.MaxSteps; step++ {
+	for step := 1; step <= cfg.MaxSteps; step++ {
 		cfl := cfg.CFL0 * rr.rnorm0 / rnorm
 		if cfl > 1e7 {
 			cfl = 1e7
@@ -947,32 +763,6 @@ func (w *worker) run() (rr rankResult) {
 		if rnorm <= cfg.RelTol*rr.rnorm0 {
 			rr.converged = true
 			return rr
-		}
-		if w.store != nil && step%cfg.CheckpointEvery == 0 {
-			// Distributed checkpoint. Consistency needs no extra
-			// collective: the end-of-step residual norm above was this
-			// step's last rendezvous, injected crashes fire only at
-			// Compute/Wait/Allreduce *entry*, a completed collective is
-			// observed by every participant even under a concurrent
-			// abort, and nothing between that collective and this write
-			// touches the communicator — so either every rank passed the
-			// collective and snapshots step `step`, or no rank does. The
-			// rank clocks are synchronized by that collective, making
-			// stats.Clock identical across ranks.
-			met := &prof.Metrics{}
-			met.Merge(w.met)
-			stats := *w.rank
-			stats.comm, stats.fp = nil, nil
-			w.store.save(w.rank.id, &rankSnapshot{
-				step:     step,
-				q:        append([]float64(nil), w.q...),
-				rnorm0:   rr.rnorm0,
-				rnorm:    rnorm,
-				history:  append([]float64(nil), rr.history...),
-				linIters: rr.linIters,
-				stats:    stats,
-				met:      met,
-			})
 		}
 	}
 	return rr

@@ -44,16 +44,6 @@ const (
 	KrylovAllreduceCalls
 	// KrylovAllreduceBytes counts the payload bytes of those collectives.
 	KrylovAllreduceBytes
-	// FaultsInjected counts rank crashes fired by the fault plan.
-	FaultsInjected
-	// FaultRestarts counts checkpoint/restart recoveries of a run.
-	FaultRestarts
-	// FaultRecomputedSteps counts pseudo-time steps redone after restoring
-	// from a checkpoint (lost work replayed).
-	FaultRecomputedSteps
-	// FaultNoiseMicros is the per-rank average of injected straggler and
-	// point-to-point jitter, in microseconds of virtual time.
-	FaultNoiseMicros
 	// ResidualSweeps counts full mesh sweeps spent per residual pipeline:
 	// the fused cache-blocked path charges 1 per evaluation, the unfused
 	// path 1 each for gradient, limiter, and flux.
@@ -137,14 +127,6 @@ func (c Counter) String() string {
 		return "krylov_allreduce_calls"
 	case KrylovAllreduceBytes:
 		return "krylov_allreduce_bytes"
-	case FaultsInjected:
-		return "faults_injected"
-	case FaultRestarts:
-		return "fault_restarts"
-	case FaultRecomputedSteps:
-		return "fault_recomputed_steps"
-	case FaultNoiseMicros:
-		return "fault_noise_us"
 	case ResidualSweeps:
 		return "residual_sweeps"
 	case ServiceJobs:
