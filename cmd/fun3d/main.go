@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	"fun3d"
 	"fun3d/internal/flux"
@@ -54,6 +55,9 @@ func main() {
 		loadPath = flag.String("load", "", "restore a solution checkpoint before solving")
 	)
 	flag.Parse()
+	if bad := baselineConflicts(flag.CommandLine); len(bad) > 0 {
+		fatal(fmt.Errorf("-baseline fixes its own threading and kernel switches; drop %s or -baseline", strings.Join(bad, ", ")))
+	}
 
 	spec, err := meshSpec(*meshName, *scale)
 	if err != nil {
@@ -237,6 +241,22 @@ func parseSched(s string) (precond.Scheduling, error) {
 		return precond.SchedP2P, nil
 	}
 	return 0, fmt.Errorf("unknown scheduling %q", s)
+}
+
+// baselineConflicts returns the explicitly set flags, as "-name", that
+// -baseline would otherwise ignore silently; nil unless -baseline is on.
+func baselineConflicts(fs *flag.FlagSet) []string {
+	if b := fs.Lookup("baseline"); b == nil || b.Value.String() != "true" {
+		return nil
+	}
+	var bad []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "threads", "strategy", "sched", "no-simd", "no-prefetch":
+			bad = append(bad, "-"+f.Name)
+		}
+	})
+	return bad
 }
 
 func fatal(err error) {
