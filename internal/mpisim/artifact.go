@@ -34,8 +34,8 @@ func specOf(cfg *Config) ClusterSpec {
 // rank's Jacobian sparsity plus symbolic ILU factor template. Building it
 // is the expensive part of Solve at scale — the multilevel partition alone
 // costs ~25 s at 16384 ranks — and none of it depends on the run
-// configuration beyond ClusterSpec, so a sweep (or a restart-recovery
-// attempt) reuses one Artifact across every run at a given rank count.
+// configuration beyond ClusterSpec, so a sweep reuses one Artifact across
+// every run at a given rank count.
 // Workers share the read-only structure and clone only the value arrays
 // (sparse.BSR.CloneStructure / sparse.Factor.CloneStructure), which is
 // what keeps per-rank memory flat enough for 10k+ rank runs.
